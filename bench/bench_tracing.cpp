@@ -34,7 +34,8 @@ struct World {
             client->set_monitoring_enabled(false);
             break;
         case Mode::Builtin:
-            // StatisticsMonitor + MetricsMonitor are installed by default.
+            // StatisticsMonitor (Listing 1 + margo_* metrics) is installed
+            // by default.
             break;
         case Mode::Tracing:
             tracer = std::make_shared<margo::TracingMonitor>();

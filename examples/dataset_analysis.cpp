@@ -11,9 +11,21 @@
 #include "remi/provider.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 
 using namespace mochi;
 using namespace mochi::composed;
+
+namespace {
+
+/// Stop the walkthrough at the first step that fails.
+void check(const Status& st, const char* step) {
+    if (st.ok()) return;
+    std::fprintf(stderr, "%s failed: %s\n", step, st.error().message.c_str());
+    std::exit(1);
+}
+
+} // namespace
 
 int main() {
     yokan::register_module();
@@ -49,9 +61,9 @@ int main() {
     DatasetHandle ds{app, "sim://front", 10};
 
     std::printf("== ingesting simulation outputs\n");
-    ds.create("step0/energies", "10 12 9 14 11 13 8 15");
-    ds.create("step0/labels", "a b c d e f g h");
-    ds.create("step1/energies", "20 22 19 24 21 23 18 25");
+    check(ds.create("step0/energies", "10 12 9 14 11 13 8 15"), "create");
+    check(ds.create("step0/labels", "a b c d e f g h"), "create");
+    check(ds.create("step1/energies", "20 22 19 24 21 23 18 25"), "create");
     auto names = ds.list();
     std::printf("   datasets:");
     for (const auto& n : *names) std::printf(" %s", n.c_str());

@@ -10,8 +10,20 @@
 #include "yokan/provider.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 
 using namespace mochi;
+
+namespace {
+
+/// Stop the walkthrough at the first step that fails.
+void check(const Status& st, const char* step) {
+    if (st.ok()) return;
+    std::fprintf(stderr, "%s failed: %s\n", step, st.error().message.c_str());
+    std::exit(1);
+}
+
+} // namespace
 
 int main() {
     // Components register their Bedrock modules ("shared libraries").
@@ -57,9 +69,9 @@ int main() {
 
     // Use the Yokan database through its resource handle (Figure 1).
     yokan::Database db{client, "sim://server", 42};
-    db.put("mochi", "dynamic");
-    db.put("margo", "runtime");
-    db.put("bedrock", "bootstrap");
+    check(db.put("mochi", "dynamic"), "put");
+    check(db.put("margo", "runtime"), "put");
+    check(db.put("bedrock", "bootstrap"), "put");
     std::printf("== db contains %llu keys; mochi -> %s\n",
                 static_cast<unsigned long long>(db.count().value()),
                 db.get("mochi")->c_str());
@@ -67,10 +79,12 @@ int main() {
     // Online reconfiguration through Bedrock's client API (Listing 5).
     bedrock::Client bc{client};
     auto p = bc.makeServiceHandle("sim://server");
-    p.addPool(json::Value::parse(R"({"name": "ExtraPool", "type": "fifo_wait"})").value());
-    p.addXstream(
-        json::Value::parse(R"({"name": "ExtraES", "scheduler": {"pools": ["ExtraPool"]}})")
-            .value());
+    check(p.addPool(json::Value::parse(R"({"name": "ExtraPool", "type": "fifo_wait"})").value()),
+          "addPool");
+    check(p.addXstream(json::Value::parse(
+                           R"({"name": "ExtraES", "scheduler": {"pools": ["ExtraPool"]}})")
+                           .value()),
+          "addXstream");
     std::printf("== added ExtraPool + ExtraES at run time\n");
 
     // Query the live configuration with Jx9 (Listing 4, verbatim).

@@ -115,7 +115,7 @@ Action AutoscalePolicy::decide(const ClusterSnapshot& snap) {
     });
     if (streak(m_pressure, "node", pressure) &&
         (m_cfg.max_nodes == 0 || snap.nodes.size() < m_cfg.max_nodes))
-        return fire({ActionKind::AddNode});
+        return fire({ActionKind::AddNode, 0, {}});
 
     // 3. Merge the coldest shard (into its ring predecessor) once it has
     //    stayed below the low watermark. Reclamation is suppressed while
@@ -131,7 +131,7 @@ Action AutoscalePolicy::decide(const ClusterSnapshot& snap) {
             (coldest == nullptr || shard_load(s) < shard_load(*coldest)))
             coldest = &s;
     }
-    if (coldest != nullptr) return fire({ActionKind::MergeShard, coldest->id});
+    if (coldest != nullptr) return fire({ActionKind::MergeShard, coldest->id, {}});
 
     // 4. Release a node whose share of the traffic has stayed negligible
     //    (its shards migrate away first; membership shrinks afterwards).

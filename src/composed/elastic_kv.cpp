@@ -326,16 +326,8 @@ Status ElasticKvService::scale_down(const std::string& address) {
         m_nodes.erase(address);
     }
     // §6 Obs. 4: "removing nodes first requires their data to be sent to
-    // remaining nodes" — plan a rescale excluding the leaving node.
-    auto resources = shard_resources();
-    auto plan = pufferscale::plan_rescale(resources, nodes(), m_config.objectives);
-    if (!plan) return plan.error();
-    if (auto st = pufferscale::execute(*plan, [this](const pufferscale::Move& move) {
-            auto shard = static_cast<std::uint32_t>(std::stoul(move.resource.substr(5)));
-            return migrate_shard(shard, move.to);
-        });
-        !st.ok())
-        return st;
+    // remaining nodes" — rebalance over the node set that now excludes it.
+    if (auto st = rebalance(); !st.ok()) return st;
     // Leave the group gracefully and release the node.
     std::shared_ptr<ssg::Group> group;
     {

@@ -81,10 +81,9 @@ Expected<InstancePtr> Instance::create(std::shared_ptr<mercury::Fabric> fabric,
     if (auto t = config.get_integer("rpc_timeout_ms", 0); t > 0)
         inst->m_default_timeout = std::chrono::milliseconds(t);
 
-    inst->m_stats = std::make_shared<StatisticsMonitor>();
-    inst->m_monitors.push_back(inst->m_stats);
     inst->m_metrics = std::make_shared<MetricsRegistry>();
-    inst->m_monitors.push_back(std::make_shared<MetricsMonitor>(inst->m_metrics));
+    inst->m_stats = std::make_shared<StatisticsMonitor>(inst->m_metrics);
+    inst->m_monitors.push_back(inst->m_stats);
     inst->m_qos = std::make_unique<QosManager>(inst->m_metrics);
     inst->m_qos->configure(config["qos"]);
     const auto& mon = config["monitoring"];

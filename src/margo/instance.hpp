@@ -241,10 +241,6 @@ class Instance : public std::enable_shared_from_this<Instance> {
     /// execution time.
     void notify_batch_op(std::string_view op_name, std::size_t payload_size,
                          double duration_us, bool ok);
-    /// The always-installed statistics monitor.
-    [[nodiscard]] const std::shared_ptr<StatisticsMonitor>& statistics() const noexcept {
-        return m_stats;
-    }
     /// Listing-1-shaped JSON document, available at run time.
     [[nodiscard]] json::Value monitoring_json() const { return m_stats->to_json(); }
     /// §4: "outputs them as JSON when shutting down the service" — if set,
@@ -260,7 +256,7 @@ class Instance : public std::enable_shared_from_this<Instance> {
     // -- metrics export --------------------------------------------------------
 
     /// The process's metrics registry. The runtime feeds the margo_* metrics
-    /// through an always-installed MetricsMonitor; components add their own
+    /// through the always-installed StatisticsMonitor; components add their own
     /// counters/gauges/histograms here (docs/OBSERVABILITY.md names them).
     [[nodiscard]] const std::shared_ptr<MetricsRegistry>& metrics() const noexcept {
         return m_metrics;

@@ -115,66 +115,4 @@ json::Value MetricsRegistry::to_json() const {
     return doc;
 }
 
-void MetricsRegistry::reset() {
-    std::lock_guard lk{m_mutex};
-    m_counters.clear();
-    m_gauges.clear();
-    m_histograms.clear();
-}
-
-// ---------------------------------------------------------------------------
-// MetricsMonitor
-// ---------------------------------------------------------------------------
-
-MetricsMonitor::MetricsMonitor(std::shared_ptr<MetricsRegistry> registry)
-: m_registry(std::move(registry)),
-  m_forwards(m_registry->counter("margo_rpc_forwards_total")),
-  m_forward_failures(m_registry->counter("margo_rpc_forward_failures_total")),
-  m_handled(m_registry->counter("margo_rpc_handled_total")),
-  m_bulk_transfers(m_registry->counter("margo_bulk_transfers_total")),
-  m_bulk_bytes(m_registry->counter("margo_bulk_bytes_total")),
-  m_batch_ops(m_registry->counter("margo_batch_ops_total")),
-  m_batch_op_failures(m_registry->counter("margo_batch_op_failures_total")),
-  m_forward_latency(m_registry->histogram("margo_rpc_forward_latency_us")),
-  m_handler_duration(m_registry->histogram("margo_rpc_handler_duration_us")),
-  m_queue_delay(m_registry->histogram("margo_rpc_queue_delay_us")),
-  m_in_flight(m_registry->gauge("margo_in_flight_rpcs")) {}
-
-void MetricsMonitor::on_forward_start(const CallContext&) { m_forwards.inc(); }
-
-void MetricsMonitor::on_forward_complete(const CallContext& ctx, bool ok) {
-    if (ok)
-        m_forward_latency.observe(ctx.duration_us);
-    else
-        m_forward_failures.inc();
-}
-
-void MetricsMonitor::on_handler_start(const CallContext& ctx) {
-    m_queue_delay.observe(ctx.queue_delay_us);
-}
-
-void MetricsMonitor::on_handler_complete(const CallContext& ctx) {
-    m_handled.inc();
-    m_handler_duration.observe(ctx.duration_us);
-}
-
-void MetricsMonitor::on_bulk_complete(const CallContext&, std::size_t bytes,
-                                      double duration_us) {
-    (void)duration_us;
-    m_bulk_transfers.inc();
-    m_bulk_bytes.inc(bytes);
-}
-
-void MetricsMonitor::on_batch_op(const CallContext&, bool ok) {
-    m_batch_ops.inc();
-    if (!ok) m_batch_op_failures.inc();
-}
-
-void MetricsMonitor::on_progress_sample(std::size_t in_flight_rpcs,
-                                        const std::map<std::string, std::size_t>& pool_sizes) {
-    m_in_flight.set(static_cast<double>(in_flight_rpcs));
-    for (const auto& [name, size] : pool_sizes)
-        m_registry->gauge("margo_pool_size_" + name).set(static_cast<double>(size));
-}
-
 } // namespace mochi::margo

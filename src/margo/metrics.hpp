@@ -1,8 +1,8 @@
 // Metrics export: a process-wide registry of named counters, gauges, and
 // exponential-bucket histograms, fed from two directions:
 //
-//  - the runtime itself, via MetricsMonitor (a Monitor implementation that
-//    counts RPCs, failures, latency and queue-delay histograms, bulk bytes,
+//  - the runtime itself, via the default StatisticsMonitor (margo_* RPC
+//    counts, failures, latency and queue-delay histograms, bulk bytes,
 //    in-flight gauges and pool depths) — every component gets these "at no
 //    engineering cost", like the §4 statistics;
 //  - component-level instrumentation (yokan puts, warabi bytes, remi chunks,
@@ -14,7 +14,7 @@
 // docs/OBSERVABILITY.md for the naming scheme and a worked example).
 #pragma once
 
-#include "margo/monitoring.hpp"
+#include "common/json.hpp"
 
 #include <atomic>
 #include <cstdint>
@@ -101,46 +101,11 @@ class MetricsRegistry {
     ///  "histograms": {name: {"count","sum","avg","le","buckets","p50","p99"}}}
     [[nodiscard]] json::Value to_json() const;
 
-    void reset();
-
   private:
     mutable std::mutex m_mutex;
     std::map<std::string, std::unique_ptr<Counter>> m_counters;
     std::map<std::string, std::unique_ptr<Gauge>> m_gauges;
     std::map<std::string, std::unique_ptr<Histogram>> m_histograms;
-};
-
-/// The runtime-fed half of the registry: translates Monitor callbacks into
-/// the margo_* metrics (see docs/OBSERVABILITY.md). Installed by every
-/// Instance next to the StatisticsMonitor.
-class MetricsMonitor : public Monitor {
-  public:
-    explicit MetricsMonitor(std::shared_ptr<MetricsRegistry> registry);
-
-    void on_forward_start(const CallContext& ctx) override;
-    void on_forward_complete(const CallContext& ctx, bool ok) override;
-    void on_handler_start(const CallContext& ctx) override;
-    void on_handler_complete(const CallContext& ctx) override;
-    void on_bulk_complete(const CallContext& ctx, std::size_t bytes,
-                          double duration_us) override;
-    void on_batch_op(const CallContext& ctx, bool ok) override;
-    void on_progress_sample(std::size_t in_flight_rpcs,
-                            const std::map<std::string, std::size_t>& pool_sizes) override;
-
-  private:
-    std::shared_ptr<MetricsRegistry> m_registry;
-    // Cached hot-path handles (resolved once; the registry keeps them alive).
-    Counter& m_forwards;
-    Counter& m_forward_failures;
-    Counter& m_handled;
-    Counter& m_bulk_transfers;
-    Counter& m_bulk_bytes;
-    Counter& m_batch_ops;
-    Counter& m_batch_op_failures;
-    Histogram& m_forward_latency;
-    Histogram& m_handler_duration;
-    Histogram& m_queue_delay;
-    Gauge& m_in_flight;
 };
 
 } // namespace mochi::margo

@@ -8,10 +8,13 @@
 //
 // StatisticsMonitor is the default implementation: it aggregates statistics
 // keyed by (parent_rpc_id:parent_provider_id:rpc_id:provider_id) and peer
-// address, and dumps them as JSON in the shape of the paper's Listing 1.
+// address, and dumps them as JSON in the shape of the paper's Listing 1. The
+// same callbacks feed the runtime's margo_* metrics (metrics.hpp), so every
+// RPC event is recorded by a single default monitor.
 #pragma once
 
 #include "common/json.hpp"
+#include "margo/metrics.hpp"
 
 #include <cstdint>
 #include <limits>
@@ -19,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 namespace mochi::margo {
@@ -44,7 +48,10 @@ struct CallContext {
     std::uint16_t parent_provider_id = k_default_provider_id;
     std::string name;        ///< RPC name, e.g. "echo"
     std::string peer;        ///< target address (origin side) / source (target side)
-    std::string self;        ///< address of the process invoking the callback
+    /// Address of the process invoking the callback: a view of the
+    /// instance's own address, valid while the instance lives (contexts
+    /// never outlive it — dispatch and async-forward state pin it).
+    std::string_view self;
     std::size_t payload_size = 0;
     // Durations in microseconds, filled per callback (see each callback doc).
     double duration_us = 0;
@@ -125,24 +132,27 @@ struct Statistics {
     [[nodiscard]] json::Value to_json() const;
 };
 
-/// Default monitor: aggregates per-RPC statistics and runtime gauges, and
-/// renders them in the Listing 1 JSON schema.
+/// Default monitor: aggregates per-RPC statistics and runtime gauges,
+/// renders them in the Listing 1 JSON schema, and feeds the margo_* metrics
+/// of `registry` (see docs/OBSERVABILITY.md).
 class StatisticsMonitor : public Monitor {
   public:
+    explicit StatisticsMonitor(std::shared_ptr<MetricsRegistry> registry);
+
     void on_forward_start(const CallContext& ctx) override;
     void on_forward_complete(const CallContext& ctx, bool ok) override;
     void on_request_received(const CallContext& ctx) override;
     void on_handler_start(const CallContext& ctx) override;
     void on_handler_complete(const CallContext& ctx) override;
     void on_bulk_complete(const CallContext& ctx, std::size_t bytes, double duration_us) override;
+    /// Metrics only: batched sub-ops are not part of the Listing 1 document.
+    void on_batch_op(const CallContext& ctx, bool ok) override;
     void on_progress_sample(std::size_t in_flight_rpcs,
                             const std::map<std::string, std::size_t>& pool_sizes) override;
 
     /// Render all statistics as JSON (the runtime API of §4; the same
     /// document Margo would write out at shutdown).
     [[nodiscard]] json::Value to_json() const;
-
-    void reset();
 
   private:
     struct PeerOriginStats {
@@ -187,6 +197,22 @@ class StatisticsMonitor : public Monitor {
     };
 
     RpcStats& stats_for(const CallContext& ctx);
+
+    std::shared_ptr<MetricsRegistry> m_registry;
+    // margo_* handles, resolved once (the registry keeps them alive) so no
+    // event looks a metric up by name. They are lock-free: callbacks update
+    // them before taking m_mutex, keeping its critical section Listing-1 only.
+    Counter& m_forwards;
+    Counter& m_forward_failures;
+    Counter& m_handled;
+    Counter& m_bulk_transfers;
+    Counter& m_bulk_bytes;
+    Counter& m_batch_ops;
+    Counter& m_batch_op_failures;
+    Histogram& m_forward_latency;
+    Histogram& m_handler_duration;
+    Histogram& m_queue_delay;
+    Gauge& m_in_flight_gauge;
 
     mutable std::mutex m_mutex;
     std::map<StatKey, RpcStats> m_rpcs;

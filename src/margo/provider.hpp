@@ -6,6 +6,7 @@
 // Concrete Mochi components (Yokan, Warabi, REMI, ...) derive from these.
 #pragma once
 
+#include "common/logging.hpp"
 #include "margo/instance.hpp"
 
 #include <algorithm>
@@ -45,7 +46,13 @@ class Provider {
     /// before the base destructor below runs, so relying on the base to
     /// deregister leaves a window where a live handler touches dead members.
     void deregister_all() {
-        for (const auto& name : m_rpc_names) m_instance->deregister_rpc(name, m_provider_id);
+        for (const auto& name : m_rpc_names) {
+            // NotFound: already deregistered (deregister_provider, shutdown).
+            if (auto st = m_instance->deregister_rpc(name, m_provider_id);
+                !st.ok() && st.error().code != Error::Code::NotFound)
+                log::warn("margo", "deregistering %s: %s", name.c_str(),
+                          st.error().message.c_str());
+        }
         m_rpc_names.clear();
     }
 

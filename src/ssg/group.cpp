@@ -125,12 +125,13 @@ void Group::leave() {
                                   opts);
     }
     if (!m_instance->is_shutdown()) {
-        m_instance->deregister_rpc("ssg/ping", m_provider_id);
-        m_instance->deregister_rpc("ssg/ping_req", m_provider_id);
-        m_instance->deregister_rpc("ssg/gossip", m_provider_id);
-        m_instance->deregister_rpc("ssg/join", m_provider_id);
-        m_instance->deregister_rpc("ssg/get_view", m_provider_id);
-        m_instance->deregister_rpc("ssg/get_payload", m_provider_id);
+        for (const char* rpc : {"ssg/ping", "ssg/ping_req", "ssg/gossip", "ssg/join",
+                                "ssg/get_view", "ssg/get_payload"}) {
+            // NotFound: already deregistered.
+            if (auto st = m_instance->deregister_rpc(rpc, m_provider_id);
+                !st.ok() && st.error().code != Error::Code::NotFound)
+                log::warn("ssg", "deregistering %s: %s", rpc, st.error().message.c_str());
+        }
     }
 }
 

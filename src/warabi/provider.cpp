@@ -95,7 +95,10 @@ Status TargetHandle::read_bulk(std::uint64_t region, std::uint64_t offset, char*
 Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
                    TargetConfig config, std::shared_ptr<abt::Pool> pool)
 : margo::Provider(std::move(instance), provider_id, "warabi", std::move(pool)),
-  m_config(std::move(config)) {
+  m_config(std::move(config)),
+  m_regions_created(this->instance()->metrics()->counter("warabi_regions_created_total")),
+  m_bytes_written(this->instance()->metrics()->counter("warabi_bytes_written_total")),
+  m_bytes_read(this->instance()->metrics()->counter("warabi_bytes_read_total")) {
     auto store = remi::SimFileStore::for_node(this->instance()->address());
     if (!store->list(root()).empty()) (void)load_from_store(*store);
 
@@ -105,7 +108,7 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
             req.respond_error(Error{Error::Code::InvalidArgument, "bad payload"});
             return;
         }
-        this->instance()->metrics()->counter("warabi_regions_created_total").inc();
+        m_regions_created.inc();
         std::uint64_t id;
         {
             std::lock_guard lk{m_mutex};
@@ -124,7 +127,7 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
             return;
         }
         if (!admit(req)) return;
-        this->instance()->metrics()->counter("warabi_bytes_written_total").inc(data.size());
+        m_bytes_written.inc(data.size());
         std::lock_guard lk{m_mutex};
         auto it = m_regions.find(region);
         if (it == m_regions.end()) {
@@ -157,7 +160,7 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
             req.respond_error(Error{Error::Code::InvalidArgument, "read out of bounds"});
             return;
         }
-        this->instance()->metrics()->counter("warabi_bytes_read_total").inc(size);
+        m_bytes_read.inc(size);
         req.respond_values(it->second.substr(offset, size));
     });
     define("erase", [this](const margo::Request& req) {
@@ -291,7 +294,6 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
 void Provider::handle_write_multi(const margo::Request& req, std::uint64_t region,
                                   const std::vector<std::uint64_t>& offsets,
                                   const std::vector<std::string_view>& datas) {
-    auto& bytes_written = instance()->metrics()->counter("warabi_bytes_written_total");
     std::lock_guard lk{m_mutex};
     auto it = m_regions.find(region);
     if (it == m_regions.end()) {
@@ -312,7 +314,7 @@ void Provider::handle_write_multi(const margo::Request& req, std::uint64_t regio
     for (std::size_t i = 0; i < datas.size(); ++i) {
         double t0 = margo::trace_now_us();
         it->second.replace(offsets[i], datas[i].size(), datas[i].data(), datas[i].size());
-        bytes_written.inc(datas[i].size());
+        m_bytes_written.inc(datas[i].size());
         instance()->notify_batch_op("warabi/write", datas[i].size(),
                                     margo::trace_now_us() - t0, true);
     }

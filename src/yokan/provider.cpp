@@ -310,8 +310,12 @@ Provider::Provider(margo::InstancePtr instance, std::uint16_t provider_id,
 : margo::Provider(std::move(instance), provider_id, "yokan", std::move(pool)),
   m_config(std::move(config)) {
     const std::string prefix = "yokan_provider_" + std::to_string(provider_id);
-    m_ops = &this->instance()->metrics()->counter(prefix + "_ops_total");
-    m_stale = &this->instance()->metrics()->counter(prefix + "_stale_rejections_total");
+    auto& metrics = *this->instance()->metrics();
+    m_ops = &metrics.counter(prefix + "_ops_total");
+    m_stale = &metrics.counter(prefix + "_stale_rejections_total");
+    m_puts = &metrics.counter("yokan_puts_total");
+    m_gets = &metrics.counter("yokan_gets_total");
+    m_stale_epochs = &metrics.counter("yokan_stale_epoch_rejections_total");
     if (m_config.targets.empty()) {
         auto backend = Backend::create(m_config.backend);
         assert(backend.has_value());
@@ -366,7 +370,7 @@ bool Provider::check_epoch(const margo::Request& req, std::uint64_t req_epoch) c
         if (m_layout_blob.size() <= k_epoch_piggyback_limit) blob = m_layout_blob;
         cur = m_epoch.load(std::memory_order_relaxed);
     }
-    instance()->metrics()->counter("yokan_stale_epoch_rejections_total").inc();
+    m_stale_epochs->inc();
     m_stale->inc();
     req.respond_error(make_stale_epoch_error(cur, blob));
     return false;
@@ -388,7 +392,7 @@ void Provider::define_rpcs() {
         }
         if (!check_epoch(req, epoch)) return;
         if (!admit(req)) return;
-        instance()->metrics()->counter("yokan_puts_total").inc();
+        m_puts->inc();
         m_ops->inc();
         Status st = m_backend ? m_backend->put(key, std::move(value))
                               : virtual_put(key, value);
@@ -406,7 +410,7 @@ void Provider::define_rpcs() {
         }
         if (!check_epoch(req, epoch)) return;
         if (!admit(req)) return;
-        instance()->metrics()->counter("yokan_gets_total").inc();
+        m_gets->inc();
         m_ops->inc();
         auto r = m_backend ? m_backend->get(key) : virtual_get(key);
         if (!r)
@@ -535,7 +539,7 @@ void Provider::define_rpcs() {
             parallel_for(keys.size(), [&](std::size_t i) {
                 double t0 = margo::trace_now_us();
                 auto r = m_backend->get(keys[i]);
-                instance()->metrics()->counter("yokan_gets_total").inc();
+                m_gets->inc();
                 m_ops->inc();
                 instance()->notify_batch_op("yokan/get", keys[i].size(),
                                             margo::trace_now_us() - t0, r.has_value());
@@ -728,12 +732,8 @@ void Provider::handle_put_multi(const margo::Request& req,
                 return;
             }
         }
-        for (const auto& [k, v] : pairs) {
-            (void)k;
-            (void)v;
-            instance()->metrics()->counter("yokan_puts_total").inc();
-            m_ops->inc();
-        }
+        m_puts->inc(pairs.size());
+        m_ops->inc(pairs.size());
         req.respond_values(this->epoch(), true);
         return;
     }
@@ -745,7 +745,7 @@ void Provider::handle_put_multi(const margo::Request& req,
         double t0 = margo::trace_now_us();
         std::size_t bytes = k.size() + v.size();
         Status st = m_backend->put(k, std::move(v));
-        instance()->metrics()->counter("yokan_puts_total").inc();
+        m_puts->inc();
         m_ops->inc();
         instance()->notify_batch_op("yokan/put", bytes, margo::trace_now_us() - t0, st.ok());
         results[i] = std::move(st);

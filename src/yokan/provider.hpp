@@ -297,9 +297,12 @@ class Provider : public margo::Provider {
     /// Per-provider counters (`yokan_provider_<id>_*`) next to the
     /// process-global ones: in an elastic layout each shard is one provider,
     /// so these are what lets a metrics scraper attribute load to individual
-    /// shards. Resolved once; the registry owns them.
+    /// shards. All resolved once, off the per-op path; the registry owns them.
     margo::Counter* m_ops = nullptr;
     margo::Counter* m_stale = nullptr;
+    margo::Counter* m_puts = nullptr;        ///< yokan_puts_total
+    margo::Counter* m_gets = nullptr;        ///< yokan_gets_total
+    margo::Counter* m_stale_epochs = nullptr; ///< yokan_stale_epoch_rejections_total
 
     std::atomic<std::uint64_t> m_epoch{0};
     mutable std::mutex m_epoch_mutex; ///< guards m_layout_blob

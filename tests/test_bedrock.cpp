@@ -49,7 +49,8 @@ class CounterComponent : public bedrock::ComponentInstance {
         reg("get", [this](const margo::Request& req) { req.respond_values(m_value.load()); });
     }
     ~CounterComponent() override {
-        for (const auto& rpc : m_rpcs) m_instance->deregister_rpc(rpc, m_provider_id);
+        for (const auto& rpc : m_rpcs)
+            EXPECT_TRUE(m_instance->deregister_rpc(rpc, m_provider_id).ok()) << rpc;
     }
 
     json::Value get_config() const override {

@@ -398,7 +398,8 @@ TEST(ElasticKv, WeightedRebalanceFollowsWeights) {
         ASSERT_TRUE(kv.put("k" + std::to_string(i), "v").ok());
     // All weight on node 0: every shard must end up there.
     ASSERT_TRUE(kv.rebalance_weighted({{"sim://ekv0", 1.0}, {"sim://ekv1", 0.0}}).ok());
-    for (const auto& s : kv.layout().shards()) EXPECT_EQ(s.node, "sim://ekv0");
+    const Layout layout = kv.layout();
+    for (const auto& s : layout.shards()) EXPECT_EQ(s.node, "sim://ekv0");
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(*kv.get("k" + std::to_string(i)), "v") << i;
 }

@@ -49,7 +49,9 @@ TEST(Layout, EveryKeyMapsToExactlyOneShardDeterministically) {
         const auto h = key_hash(k);
         EXPECT_GE(h, s1.range_begin);
         const auto end = layout.range_end_of(s1.id);
-        if (end != 0) EXPECT_LT(h, end);
+        if (end != 0) {
+            EXPECT_LT(h, end);
+        }
     }
 }
 

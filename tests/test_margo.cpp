@@ -224,9 +224,21 @@ TEST(Margo, MonitoringStatisticsMatchListing1Shape) {
     // Origin-side stats on the client.
     auto cstats = nodes.client->monitoring_json();
     ASSERT_TRUE(cstats["rpcs"].contains(key)) << cstats.dump(2);
-    EXPECT_EQ(cstats["rpcs"][key]["origin"]["sent to sim://server"]["forward"]["duration"]["num"]
-                  .as_integer(),
-              3);
+    const auto forward_num = static_cast<std::uint64_t>(
+        cstats["rpcs"][key]["origin"]["sent to sim://server"]["forward"]["duration"]["num"]
+            .as_integer());
+    EXPECT_EQ(forward_num, 3u);
+
+    // One monitor feeds both views: the margo_* metrics count exactly the
+    // events the Listing 1 document counts.
+    auto& cm = *nodes.client->metrics();
+    EXPECT_EQ(cm.counter("margo_rpc_forwards_total").value(), forward_num);
+    EXPECT_EQ(cm.histogram("margo_rpc_forward_latency_us").count(), forward_num);
+    const auto ult_num = static_cast<std::uint64_t>(target["ult"]["duration"]["num"].as_integer());
+    auto& sm = *nodes.server->metrics();
+    EXPECT_EQ(sm.counter("margo_rpc_handled_total").value(), ult_num);
+    EXPECT_EQ(sm.histogram("margo_rpc_handler_duration_us").count(), ult_num);
+    EXPECT_EQ(sm.histogram("margo_rpc_queue_delay_us").count(), ult_num);
 }
 
 TEST(Margo, ProgressSamplerTracksPoolsAndInflight) {
@@ -248,6 +260,7 @@ TEST(Margo, MonitoringCanBeDisabled) {
     ASSERT_TRUE(nodes.client->forward("sim://server", "echo", "x").has_value());
     auto stats = nodes.server->monitoring_json();
     EXPECT_EQ(stats["rpcs"].size(), 0u) << stats.dump(2);
+    EXPECT_EQ(nodes.server->metrics()->counter("margo_rpc_handled_total").value(), 0u);
 }
 
 TEST(Margo, CustomMonitorCallbacksFire) {
@@ -407,7 +420,7 @@ TEST(Margo, ConcurrentForwardsFromManyUlts) {
                                                          [client, &sum] {
             for (int j = 0; j < k_calls; ++j) {
                 auto r = client->call<std::uint64_t>("sim://server", "inc", {},
-                                                     std::uint64_t{j});
+                                                     static_cast<std::uint64_t>(j));
                 ASSERT_TRUE(r.has_value());
                 sum += std::get<0>(*r);
             }

@@ -332,8 +332,11 @@ TEST(Tracing, RemiChunkPipelineStaysOnAmbientTrace) {
     }
     EXPECT_GT(chunk_forwards, 1u) << tracer->span_tree();
     // Nothing escaped into a separate trace.
-    for (const auto& s : tracer->spans())
-        if (s.name == "remi/write_chunk") EXPECT_EQ(s.trace_id, ctx.trace.trace_id);
+    for (const auto& s : tracer->spans()) {
+        if (s.name == "remi/write_chunk") {
+            EXPECT_EQ(s.trace_id, ctx.trace.trace_id);
+        }
+    }
 
     provider.reset();
     src->shutdown();

@@ -6,11 +6,12 @@
    skipped; an optional #fragment is stripped before checking).
 2. docs/ARCHITECTURE.md mentions every component directory under src/
    (a directory guide that silently omits a component goes stale first).
-3. Every metric family and error-code name docs/QOS.md commits to in
-   backticks (tenant_*_total counters, the Backpressure code, ...) exists
-   verbatim in the source tree — placeholder segments like `<id>` are
-   split out and the literal fragments around them are grepped for, so
-   renaming a counter in src/ without updating the QoS contract fails CI.
+3. Every metric family and error-code name the contract docs commit to in
+   backticks (docs/QOS.md: tenant_*_total counters, the Backpressure code;
+   docs/OBSERVABILITY.md: the margo_* runtime metrics) exists verbatim in
+   the source tree — placeholder segments like `<id>` are split out and
+   the literal fragments around them are grepped for, so renaming a
+   metric in src/ without updating its doc fails CI.
 
 Exits non-zero listing every violation.
 """
@@ -82,46 +83,52 @@ def check_architecture_mentions_every_component():
     return errors
 
 
-# Backticked names in QOS.md that must exist in src/: metric families
-# (snake_case ending in a unit or _total) and error-code identifiers.
-QOS_METRIC_RE = re.compile(r"`(tenant_[A-Za-z0-9_<>]*_total)`")
-QOS_ERROR_RE = re.compile(r"`(Backpressure|backpressure)`")
+# Backticked names each contract doc commits to, which must exist in src/:
+# metric families (snake_case ending in a unit or _total) and error-code
+# identifiers.
+DOC_NAME_RES = {
+    "QOS.md": [re.compile(r"`(tenant_[A-Za-z0-9_<>]*_total)`"),
+               re.compile(r"`(Backpressure|backpressure)`")],
+    "OBSERVABILITY.md": [re.compile(r"`(margo_[A-Za-z0-9_<>]*)`")],
+}
 
 
-def check_qos_names_exist_in_source():
-    doc = REPO / "docs" / "QOS.md"
-    if not doc.exists():
-        return ["docs/QOS.md is missing"]
-    text = doc.read_text()
-
-    names = set(QOS_METRIC_RE.findall(text)) | set(QOS_ERROR_RE.findall(text))
-    if not names:
-        return ["docs/QOS.md: no backticked metric/error names found "
-                "(the QoS contract must name its observables)"]
-
+def check_doc_names_exist_in_source():
     sources = []
     for pattern in ("*.cpp", "*.hpp"):
         sources.extend((REPO / "src").rglob(pattern))
     blob = "\n".join(p.read_text() for p in sources)
 
     errors = []
-    for name in sorted(names):
-        # `tenant_<id>_ops_total` documents a family: every literal
-        # fragment around the <...> placeholders must appear in source
-        # (the code builds the name by concatenating those fragments).
-        fragments = [f for f in re.split(r"<[^>]*>", name) if f]
-        missing = [f for f in fragments if f not in blob]
-        if missing:
-            errors.append(
-                f"docs/QOS.md: `{name}` not found in src/ "
-                f"(missing fragment(s): {', '.join(missing)})")
+    for doc_name, regexes in DOC_NAME_RES.items():
+        doc = REPO / "docs" / doc_name
+        if not doc.exists():
+            errors.append(f"docs/{doc_name} is missing")
+            continue
+        text = doc.read_text()
+        names = set()
+        for regex in regexes:
+            names |= set(regex.findall(text))
+        if not names:
+            errors.append(f"docs/{doc_name}: no backticked metric/error names "
+                          "found (the contract must name its observables)")
+        for name in sorted(names):
+            # `tenant_<id>_ops_total` documents a family: every literal
+            # fragment around the <...> placeholders must appear in source
+            # (the code builds the name by concatenating those fragments).
+            fragments = [f for f in re.split(r"<[^>]*>", name) if f]
+            missing = [f for f in fragments if f not in blob]
+            if missing:
+                errors.append(
+                    f"docs/{doc_name}: `{name}` not found in src/ "
+                    f"(missing fragment(s): {', '.join(missing)})")
     return errors
 
 
 def main():
     errors = check_links(tracked_markdown())
     errors += check_architecture_mentions_every_component()
-    errors += check_qos_names_exist_in_source()
+    errors += check_doc_names_exist_in_source()
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
