@@ -299,8 +299,13 @@ TEST(Raft, CrashedNodeRecoversFromPersistedState) {
     c.crash(victim);
     std::this_thread::sleep_for(200ms);
     c.spawn(victim); // restart: loads persisted term/log from its store
-    // The restarted node rejoins and reconverges.
-    bool ok = c.eventually(
+    // The restarted node rejoins and reconverges. Submit until one "append:!"
+    // commits, then wait for the victim to apply it: resubmitting while
+    // waiting would append another "!" whenever the victim applies a
+    // heartbeat late. A submission that timed out across a leader change may
+    // still commit, so the target is the state the leader returned.
+    std::string committed;
+    bool submitted = c.eventually(
         [&] {
             int l = -1;
             for (std::size_t i = 0; i < c.nodes.size(); ++i)
@@ -308,10 +313,14 @@ TEST(Raft, CrashedNodeRecoversFromPersistedState) {
                     l = static_cast<int>(i);
             if (l < 0) return false;
             auto r = c.nodes[l]->submit("append:!");
-            return r.has_value() && c.machines[victim]->value() == "durable!";
+            if (r) committed = *r;
+            return r.has_value();
         },
         10000ms);
-    EXPECT_TRUE(ok);
+    ASSERT_TRUE(submitted);
+    EXPECT_EQ(committed.rfind("durable!", 0), 0u) << committed;
+    bool ok = c.eventually([&] { return c.machines[victim]->value() == committed; }, 10000ms);
+    EXPECT_TRUE(ok) << c.machines[victim]->value() << " vs " << committed;
 }
 
 TEST(Raft, ClientTracksLeaderAcrossFailover) {
