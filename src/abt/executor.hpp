@@ -53,8 +53,6 @@ class Executor {
     /// Wake an idle worker (called from Pool::push via Xstream::notify).
     void notify();
 
-    [[nodiscard]] std::size_t worker_count() const noexcept { return m_threads.size(); }
-
   private:
     void worker_loop();
 

@@ -133,6 +133,13 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
     [[nodiscard]] std::vector<std::string> pool_names() const;
     [[nodiscard]] std::vector<std::string> xstream_names() const;
     [[nodiscard]] std::size_t num_pools() const;
+    /// Visit every pool under the runtime lock, copying nothing (the
+    /// progress sampler's allocation-free path). `f` must not re-enter.
+    template <typename F>
+    void for_each_pool(F&& f) const {
+        std::lock_guard lk{m_mutex};
+        for (const auto& p : m_pools) f(*p);
+    }
     [[nodiscard]] std::size_t num_xstreams() const;
 
     /// Current configuration as JSON (round-trips through create()).

@@ -178,15 +178,17 @@ class Eventual {
         return m_value;
     }
 
-    /// Like wait_for(), but *moves* the stored value out — for single-waiter
-    /// protocols (one pending call, one waiter) where copying the value
-    /// (e.g. a Message with a large payload) would defeat the zero-copy
-    /// path. After a successful take_for(), other accessors see a
-    /// moved-from value.
-    std::optional<T> take_for(std::chrono::microseconds timeout) {
-        if (!wait_for_impl(timeout)) return std::nullopt;
+    /// Block up to `timeout` until the value is set, without touching it.
+    /// Several waiters may share one eventual while a lock of their own
+    /// decides which of them take()s the value.
+    bool wait_ready_for(std::chrono::microseconds timeout) { return wait_for_impl(timeout); }
+
+    /// *Move* the stored value out, once it is set — for protocols where
+    /// copying it (e.g. a Message with a large payload) would defeat the
+    /// zero-copy path. Other accessors then see a moved-from value.
+    T take() {
         std::lock_guard lk{m_mutex};
-        return std::move(m_value);
+        return std::move(*m_value);
     }
 
   private:

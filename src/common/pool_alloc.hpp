@@ -19,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <new>
-#include <vector>
 
 namespace mochi {
 
@@ -30,7 +29,11 @@ class FreeList {
     explicit FreeList(std::size_t max_cached = 1024) : m_max_cached(max_cached) {}
 
     ~FreeList() {
-        for (void* p : m_blocks) ::operator delete(p);
+        while (m_head != nullptr) {
+            Block* next = m_head->next;
+            ::operator delete(m_head);
+            m_head = next;
+        }
     }
 
     FreeList(const FreeList&) = delete;
@@ -40,11 +43,12 @@ class FreeList {
         {
             std::lock_guard lk{m_mutex};
             if (m_block_size == 0) m_block_size = bytes;
-            if (bytes == m_block_size && !m_blocks.empty()) {
-                void* p = m_blocks.back();
-                m_blocks.pop_back();
+            if (bytes == m_block_size && m_head != nullptr) {
+                Block* b = m_head;
+                m_head = b->next;
+                --m_cached;
                 m_recycled.fetch_add(1, std::memory_order_relaxed);
-                return p;
+                return b;
             }
         }
         return ::operator new(bytes);
@@ -53,11 +57,11 @@ class FreeList {
     void deallocate(void* p, std::size_t bytes) noexcept {
         {
             std::lock_guard lk{m_mutex};
-            if (bytes == m_block_size && m_blocks.size() < m_max_cached) {
-                // push_back cannot throw here in steady state (capacity was
-                // established by earlier pushes); a growth failure during
-                // warm-up would terminate, like any OOM on this path.
-                m_blocks.push_back(p);
+            // The free block itself holds the link, so caching a block never
+            // allocates (not even the first time a pool grows).
+            if (bytes == m_block_size && bytes >= sizeof(Block) && m_cached < m_max_cached) {
+                m_head = ::new (p) Block{m_head};
+                ++m_cached;
                 return;
             }
         }
@@ -70,8 +74,13 @@ class FreeList {
     }
 
   private:
+    struct Block {
+        Block* next;
+    };
+
     std::mutex m_mutex;
-    std::vector<void*> m_blocks;
+    Block* m_head = nullptr;
+    std::size_t m_cached = 0;
     std::size_t m_block_size = 0;
     std::size_t m_max_cached;
     std::atomic<std::uint64_t> m_recycled{0};

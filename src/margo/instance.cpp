@@ -19,25 +19,20 @@ std::uint64_t rpc_name_to_id(std::string_view name) noexcept {
 // Request
 // ---------------------------------------------------------------------------
 
-void Request::respond(std::string payload) const {
+void Request::respond(std::string payload) const { send_response(std::move(payload), 0); }
+
+void Request::respond_error(const Error& err) const {
+    send_response(err.message, static_cast<std::int32_t>(err.code) + 1); // 0 reserved for ok
+}
+
+void Request::send_response(std::string payload, std::int32_t status) const {
     mercury::Message resp;
     resp.kind = mercury::Message::Kind::Response;
     resp.rpc_id = m_msg.rpc_id;
     resp.provider_id = m_msg.provider_id;
     resp.seq = m_msg.seq;
     resp.payload = std::move(payload);
-    resp.status = 0;
-    (void)m_instance->m_endpoint->send(m_msg.source, std::move(resp));
-}
-
-void Request::respond_error(const Error& err) const {
-    mercury::Message resp;
-    resp.kind = mercury::Message::Kind::Response;
-    resp.rpc_id = m_msg.rpc_id;
-    resp.provider_id = m_msg.provider_id;
-    resp.seq = m_msg.seq;
-    resp.payload = err.message;
-    resp.status = static_cast<std::int32_t>(err.code) + 1; // 0 reserved for ok
+    resp.status = status;
     (void)m_instance->m_endpoint->send(m_msg.source, std::move(resp));
 }
 
@@ -97,9 +92,9 @@ Expected<InstancePtr> Instance::create(std::shared_ptr<mercury::Fabric> fabric,
     });
     if (!ep) return ep.error();
     inst->m_endpoint = std::move(ep).value();
-    // Fast-path inbox: clean links deliver straight into the endpoint's
-    // SPSC ring (no timer, no fabric shared_mutex); the wakeup only has to
-    // unpark the progress loop when it has actually gone idle.
+    // Fast-path inbox: clean links deliver requests straight into the
+    // endpoint's MPSC ring (no timer); the wakeup only has to unpark the
+    // progress loop when it has actually gone idle.
     inst->m_endpoint->enable_fast_inbox([w = std::weak_ptr<Instance>(inst)] {
         if (auto self = w.lock()) self->wake_progress_loop();
     });
@@ -112,7 +107,10 @@ Expected<InstancePtr> Instance::create(std::shared_ptr<mercury::Fabric> fabric,
                           [w = std::weak_ptr<Instance>(inst)] {
                               if (auto self = w.lock()) self->progress_loop();
                           });
-    inst->start_sampler();
+    // Take the first progress sample now: its one-time work (the pool-size
+    // map's nodes, each pool's gauge) is done before any traffic, and every
+    // later tick on the timer thread allocates nothing.
+    inst->sampler_tick();
     return inst;
 }
 
@@ -120,9 +118,7 @@ Instance::~Instance() { shutdown(); }
 
 void Instance::shutdown() {
     bool was = m_stopping.exchange(true);
-    if (was) return;
-    // Stop the periodic sampler by marking inactive (timer self-reschedules).
-    m_sampler_active.store(false);
+    if (was) return; // m_stopping also ends the self-rescheduling sampler
     // Let monitors quiesce background work (e.g. autoscaler decision
     // threads) while the runtime is still fully alive. Copied out so a
     // monitor joining a thread never holds m_monitors_mutex.
@@ -138,23 +134,22 @@ void Instance::shutdown() {
     m_queue_cv.signal_all();
     m_progress_done.wait();
     // Close the pending-call registry and cancel everything registered so
-    // far. Bumping the generation under the lock makes the race with
-    // forward() deterministic: a forward that registered before this sweep
-    // is cancelled right here; one arriving after sees the closed registry
-    // and fails fast without ever blocking.
+    // far. Closing it under the lock makes the race with forward()
+    // deterministic: a forward that registered before this sweep is
+    // cancelled right here; one arriving after sees the closed registry and
+    // fails fast without ever blocking.
     PendingMap pending{PendingMap::key_compare{}, PendingMap::allocator_type{m_pending_node_pool}};
     {
         std::lock_guard lk{m_pending_mutex};
-        ++m_pending_generation;
+        m_pending_closed = true;
         pending = std::move(m_pending); // same allocator: node steal, no copies
         m_pending.clear();
     }
-    for (auto& [seq, call] : pending) {
-        call->cancelled.store(true);
+    for (auto& [seq, reply] : pending) {
         mercury::Message m;
         m.status = static_cast<std::int32_t>(Error::Code::Canceled) + 1;
         m.payload = "instance shut down";
-        call->response.set_value(std::move(m));
+        reply->set_value(std::move(m));
     }
     // Condition-based drain: the last in-flight forward signals on its way
     // out (its guard observes m_stopping). If a forward's decrement to zero
@@ -282,9 +277,9 @@ namespace detail {
 /// `completed` is already true and `result` holds the send error).
 struct AsyncForwardState {
     InstancePtr instance;
-    std::shared_ptr<Instance::PendingCall> call;
+    /// The reply, registered in the instance's pending-call map under `seq`.
+    abt::Eventual<mercury::Message> reply;
     std::uint64_t seq = 0;
-    std::uint64_t generation = 0;
     std::chrono::milliseconds timeout{0};
     CallContext mctx;
     double t0 = 0;
@@ -298,13 +293,10 @@ struct AsyncForwardState {
     ~AsyncForwardState() {
         if (completed || !instance) return;
         // Abandoned without wait(): release the registry slot so
-        // dispatch_response() drops a late reply, and close the forward
+        // dispatch_response() drops a late reply (or let a delivery that
+        // already claimed it finish setting `reply`), and close the forward
         // span as failed so every on_forward_start stays paired.
-        {
-            std::lock_guard lk{instance->m_pending_mutex};
-            if (instance->m_pending_generation == generation)
-                instance->m_pending.erase(seq);
-        }
+        if (!instance->release_pending(seq)) reply.wait();
         mctx.duration_us = instance->now_us() - t0;
         instance->emit([&](Monitor& m) { m.on_forward_complete(mctx, false); });
     }
@@ -381,28 +373,22 @@ AsyncRequest Instance::forward_async(const std::string& address, std::string_vie
     mctx.span_id = span.span_id;
     mctx.parent_span_id = span.parent_span_id;
 
-    auto call = std::allocate_shared<PendingCall>(PoolAllocator<PendingCall>{m_pending_call_pool});
     {
         std::lock_guard lk{m_pending_mutex};
-        if (m_pending_generation != 0) {
+        if (m_pending_closed) {
             // shutdown() already swept the registry; registering now would
             // park this call forever since nobody will cancel it again.
             return fail_now(Error{Error::Code::Canceled, "RPC '" + std::string(rpc_name) +
                                                              "' canceled: instance shut down"});
         }
-        state->generation = m_pending_generation;
-        m_pending[msg.seq] = call;
+        m_pending[msg.seq] = &state->reply;
     }
-    state->call = call;
     state->seq = msg.seq;
     state->t0 = now_us();
     emit([&](Monitor& m) { m.on_forward_start(mctx); });
 
     if (auto st = m_endpoint->send(address, std::move(msg)); !st.ok()) {
-        {
-            std::lock_guard lk{m_pending_mutex};
-            if (m_pending_generation == state->generation) m_pending.erase(state->seq);
-        }
+        if (!release_pending(state->seq)) state->reply.wait(); // shutdown's sweep claimed it
         emit([&](Monitor& m) { m.on_forward_complete(mctx, false); });
         return fail_now(st.error());
     }
@@ -413,7 +399,7 @@ bool AsyncRequest::test() const {
     if (!m_state) return false;
     std::lock_guard lk{m_state->mutex};
     if (m_state->completed) return true;
-    return m_state->call && m_state->call->response.test();
+    return m_state->reply.test();
 }
 
 Expected<std::string> AsyncRequest::wait() {
@@ -429,32 +415,31 @@ Expected<std::string> AsyncRequest::wait() {
     // synchronous forward; shutdown()'s sweep sets the eventual, so this
     // never outlives the drain by more than the wakeup.
     Instance::ForwardGuard guard{inst};
-    // take_for moves the response Message out of the eventual: the single
-    // logical consumer of a pending call never copies the payload. (A
-    // concurrent waiter on a copied handle observes `completed` below and
-    // reads the cached result instead.)
-    auto response = st.call->response.take_for(
+    // Wait without taking the reply: waiters on copies of the handle all
+    // wake, and only the first to resolve under st.mutex moves it out (the
+    // others read the cached result), so the payload is never copied and no
+    // waiter reads a moved-from reply.
+    bool replied = st.reply.wait_ready_for(
         std::chrono::duration_cast<std::chrono::microseconds>(st.timeout));
-    std::lock_guard lk{st.mutex};
+    std::unique_lock lk{st.mutex};
     if (st.completed) return *st.result; // a concurrent waiter resolved it
-    {
-        std::lock_guard plk{inst->m_pending_mutex};
-        // If the generation moved, shutdown's sweep already emptied the map
-        // (and a different call could in principle reuse the slot); only the
-        // registering generation may erase.
-        if (inst->m_pending_generation == st.generation) inst->m_pending.erase(st.seq);
+    if (!replied && !inst->release_pending(st.seq)) {
+        // The timeout raced a reply's delivery (or shutdown's sweep), which
+        // claimed the call first and is setting `reply` now: take that
+        // outcome, and let the set finish before this state may go.
+        lk.unlock();
+        st.reply.wait();
+        lk.lock();
+        if (st.completed) return *st.result;
+        replied = true;
     }
+    std::optional<mercury::Message> response;
+    if (replied) response = st.reply.take();
     st.mctx.duration_us = inst->now_us() - st.t0;
-    const std::string& rpc_name = st.mctx.name;
     if (!response) {
         inst->emit([&](Monitor& m) { m.on_forward_complete(st.mctx, false); });
-        if (st.call->cancelled.load())
-            st.result.emplace(Error{Error::Code::Canceled,
-                                    "RPC '" + rpc_name + "' canceled: instance shut down"});
-        else
-            st.result.emplace(Error{Error::Code::Timeout,
-                                    "RPC '" + rpc_name + "' to " + st.mctx.peer +
-                                        " timed out"});
+        st.result.emplace(Error{Error::Code::Timeout,
+                                "RPC '" + st.mctx.name + "' to " + st.mctx.peer + " timed out"});
     } else if (response->status != 0) {
         inst->emit([&](Monitor& m) { m.on_forward_complete(st.mctx, false); });
         auto code = static_cast<Error::Code>(response->status - 1);
@@ -469,9 +454,14 @@ Expected<std::string> AsyncRequest::wait() {
 }
 
 void Instance::on_network_message(mercury::Message msg) {
-    // Called from arbitrary threads (fabric slow path). Enqueue for the
-    // progress ULT. The CondVar enqueues waiters before releasing the held
-    // mutex, so signaling after the push can never be lost.
+    // Called from the sender's or the fabric timer's thread. A response
+    // completes its call right here; requests go to the progress ULT. The
+    // CondVar enqueues waiters before releasing the held mutex, so
+    // signaling after the push can never be lost.
+    if (msg.kind == mercury::Message::Kind::Response) {
+        dispatch_response(std::move(msg));
+        return;
+    }
     m_queue_mutex.lock();
     m_queue.push_back(std::move(msg));
     m_queue_mutex.unlock();
@@ -479,7 +469,7 @@ void Instance::on_network_message(mercury::Message msg) {
 }
 
 void Instance::wake_progress_loop() {
-    // Fast-path producer side of the idle protocol. The push into the SPSC
+    // Fast-path producer side of the idle protocol. The push into the MPSC
     // ring already happened; the fence orders it before the idle-flag read
     // (pairing with the consumer's store-then-fence-then-recheck), so either
     // we observe the consumer going idle, or the consumer's recheck observes
@@ -501,16 +491,13 @@ void Instance::progress_loop() {
     mercury::Message msg;
     for (;;) {
         // Drain the lock-free fast inbox first: the common steady-state
-        // source. Each message is dispatched immediately (no handoff through
+        // source. Each request is dispatched immediately (no handoff through
         // m_queue), which is what removes the timer hop + fabric lock from
         // the clean-link round trip.
         bool did_work = false;
         while (ep->poll_fast(msg)) {
             did_work = true;
-            if (msg.kind == mercury::Message::Kind::Request)
-                dispatch_request(std::move(msg));
-            else
-                dispatch_response(std::move(msg));
+            dispatch_request(std::move(msg));
         }
         // Then batch-drain the slow queue, dropping the lock around each
         // dispatch so producers never block behind handler bookkeeping.
@@ -519,10 +506,7 @@ void Instance::progress_loop() {
             msg = m_queue.pop_front();
             m_queue_mutex.unlock();
             did_work = true;
-            if (msg.kind == mercury::Message::Kind::Request)
-                dispatch_request(std::move(msg));
-            else
-                dispatch_response(std::move(msg));
+            dispatch_request(std::move(msg));
             m_queue_mutex.lock();
         }
         if (m_stopping.load()) {
@@ -551,8 +535,8 @@ void Instance::progress_loop() {
     }
     m_progress_idle.store(false, std::memory_order_relaxed);
     // Shutdown: discard whatever is still in the fast ring, mirroring the
-    // slow queue (pending calls complete as Canceled via the sweep; request
-    // senders observe their timeout, as with any message lost to teardown).
+    // slow queue (request senders observe their timeout, as with any
+    // message lost to teardown).
     while (ep->poll_fast(msg)) {}
     m_progress_done.set();
 }
@@ -674,15 +658,24 @@ void Instance::dispatch_request(mercury::Message msg) {
 }
 
 void Instance::dispatch_response(mercury::Message msg) {
-    std::shared_ptr<PendingCall> call;
+    // Runs on the delivering thread: no user code, only a thread-safe set.
+    // Erasing the entry claims the call; its caller then cannot let the
+    // reply eventual go before this set completes (see release_pending), so
+    // no reference is taken and the caller's state is freed by the caller.
+    abt::Eventual<mercury::Message>* reply;
     {
         std::lock_guard lk{m_pending_mutex};
         auto it = m_pending.find(msg.seq);
         if (it == m_pending.end()) return; // caller timed out; drop
-        call = it->second;
+        reply = it->second;
         m_pending.erase(it);
     }
-    call->response.set_value(std::move(msg));
+    reply->set_value(std::move(msg));
+}
+
+bool Instance::release_pending(std::uint64_t seq) {
+    std::lock_guard lk{m_pending_mutex};
+    return m_pending.erase(seq) == 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -746,7 +739,7 @@ void Instance::sync_pool_metrics() const {
     // The free lists count recycles monotonically; fold the delta since the
     // last export into the counter. exchange() makes concurrent snapshots
     // count each delta exactly once (a stale total simply contributes zero).
-    std::uint64_t total = m_pending_call_pool->recycled() + m_pending_node_pool->recycled() +
+    std::uint64_t total = m_pending_node_pool->recycled() +
                           m_async_state_pool->recycled() + m_dispatch_pool->recycled() +
                           m_runtime->ult_pool_recycled();
     std::uint64_t last = m_pool_recycled_exported.exchange(total, std::memory_order_relaxed);
@@ -782,27 +775,29 @@ void Instance::notify_batch_op(std::string_view op_name, std::size_t payload_siz
     emit([&](Monitor& m) { m.on_batch_op(mctx, ok); });
 }
 
-void Instance::start_sampler() {
-    m_sampler_active.store(true);
-    auto w = std::weak_ptr<Instance>(shared_from_this());
-    m_runtime->timer().schedule(
-        std::chrono::duration_cast<std::chrono::microseconds>(m_sampling_period), [w] {
-            if (auto self = w.lock()) self->sampler_tick();
-        });
-}
-
 void Instance::sampler_tick() {
-    if (!m_sampler_active.load() || m_stopping.load()) return;
-    std::map<std::string, std::size_t> pool_sizes;
-    for (const auto& name : m_runtime->pool_names()) {
-        if (auto p = m_runtime->find_pool(name)) pool_sizes[name] = (*p)->size();
-    }
-    emit([&](Monitor& m) { m.on_progress_sample(m_in_flight.load(), pool_sizes); });
-    auto w = std::weak_ptr<Instance>(shared_from_this());
-    m_runtime->timer().schedule(
-        std::chrono::duration_cast<std::chrono::microseconds>(m_sampling_period), [w] {
-            if (auto self = w.lock()) self->sampler_tick();
+    if (m_stopping.load()) return;
+    // Allocation-free in steady state: the pools are visited in place and
+    // the size map keeps its nodes; a removed pool makes one tick rebuild it.
+    auto sample = [this] {
+        std::size_t pools = 0;
+        m_runtime->for_each_pool([&](const abt::Pool& p) {
+            ++pools;
+            m_sampled_pool_sizes[p.name()] = p.size();
         });
+        return pools;
+    };
+    if (sample() != m_sampled_pool_sizes.size()) {
+        m_sampled_pool_sizes.clear();
+        sample();
+    }
+    emit([&](Monitor& m) { m.on_progress_sample(m_in_flight.load(), m_sampled_pool_sizes); });
+    // Capturing `this` alone keeps the closure in std::function's inline
+    // buffer. Safe: shutdown() finalizes the runtime, whose timer stop waits
+    // out a running tick and drops pending ones, before the instance goes.
+    m_runtime->timer().schedule(
+        std::chrono::duration_cast<std::chrono::microseconds>(m_sampling_period),
+        [this] { sampler_tick(); });
 }
 
 // ---------------------------------------------------------------------------

@@ -42,7 +42,23 @@ using InstancePtr = std::shared_ptr<Instance>;
 namespace detail {
 struct AsyncForwardState;
 struct DispatchCtx;
+
+/// Unpack a response payload into a tuple. unpack() reports malformed input
+/// through its return value, but a user-defined serialize() may throw; an
+/// exception escaping here would unwind through the calling ULT's fiber
+/// boundary and terminate the process, so both collapse into the Expected.
+template <typename... Outs>
+Expected<std::tuple<Outs...>> unpack_response(const std::string& payload, std::string_view what) {
+    std::tuple<Outs...> out;
+    try {
+        if (!std::apply([&](auto&... o) { return mercury::unpack(payload, o...); }, out))
+            return Error{Error::Code::Corruption, "malformed " + std::string(what)};
+    } catch (const std::exception& e) {
+        return Error{Error::Code::Corruption, std::string(what) + " unpack threw: " + e.what()};
+    }
+    return out;
 }
+} // namespace detail
 
 /// An incoming RPC being handled. Handlers receive a const reference and
 /// must call respond()/respond_error() exactly once (unless the RPC was
@@ -74,6 +90,7 @@ class Request {
     friend class Instance;
     friend struct detail::DispatchCtx;
     Request(Instance* inst, mercury::Message msg) : m_instance(inst), m_msg(std::move(msg)) {}
+    void send_response(std::string payload, std::int32_t status) const;
     Instance* m_instance;
     mercury::Message m_msg;
 };
@@ -117,16 +134,7 @@ class AsyncRequest {
     Expected<std::tuple<Outs...>> wait_unpack() {
         auto resp = wait();
         if (!resp) return std::move(resp).error();
-        std::tuple<Outs...> out;
-        try {
-            bool ok =
-                std::apply([&](auto&... o) { return mercury::unpack(*resp, o...); }, out);
-            if (!ok) return Error{Error::Code::Corruption, "malformed async response payload"};
-        } catch (const std::exception& e) {
-            return Error{Error::Code::Corruption,
-                         std::string("async response unpack threw: ") + e.what()};
-        }
-        return out;
+        return detail::unpack_response<Outs...>(*resp, "async response payload");
     }
 
   private:
@@ -198,24 +206,8 @@ class Instance : public std::enable_shared_from_this<Instance> {
                                        ForwardOptions options, const Ins&... ins) {
         auto resp = forward(address, rpc_name, mercury::pack(ins...), options);
         if (!resp) return std::move(resp).error();
-        std::tuple<Outs...> out;
-        // unpack() reports malformed input through its return value, but a
-        // user-defined serialize() may throw (resource exhaustion, value
-        // validation); an exception escaping here would unwind through the
-        // calling ULT's fiber boundary and terminate the process, so both
-        // failure modes collapse into the Expected.
-        try {
-            bool ok =
-                std::apply([&](auto&... o) { return mercury::unpack(*resp, o...); }, out);
-            if (!ok)
-                return Error{Error::Code::Corruption, "malformed response payload for " +
-                                                          std::string(rpc_name)};
-        } catch (const std::exception& e) {
-            return Error{Error::Code::Corruption, "response unpack for " +
-                                                      std::string(rpc_name) + " threw: " +
-                                                      e.what()};
-        }
-        return out;
+        return detail::unpack_response<Outs...>(*resp,
+                                                "response payload for " + std::string(rpc_name));
     }
 
     // -- bulk (RDMA) ---------------------------------------------------------
@@ -327,13 +319,6 @@ class Instance : public std::enable_shared_from_this<Instance> {
         /// the owner of the handler's captures can be destroyed safely.
         std::shared_ptr<std::atomic<int>> inflight = std::make_shared<std::atomic<int>>(0);
     };
-    struct PendingCall {
-        abt::Eventual<mercury::Message> response;
-        /// Set by shutdown() before completing the eventual, so a forward
-        /// whose wait_for() raced the cancellation (the timeout fired while
-        /// set_value was in flight) still reports Canceled, not Timeout.
-        std::atomic<bool> cancelled{false};
-    };
     // Per-handler-ULT context (margo::RpcContext, tracing.hpp) lets nested
     // forwards inherit parent RPC ids and the active trace.
 
@@ -342,7 +327,11 @@ class Instance : public std::enable_shared_from_this<Instance> {
     void wake_progress_loop();
     void dispatch_request(mercury::Message msg);
     void dispatch_response(mercury::Message msg);
-    void start_sampler();
+    /// Caller side (timeout, abandon, send failure): erase the call's
+    /// registry entry. False means a reply's delivery or shutdown's sweep
+    /// erased it first and is completing the reply eventual, which the
+    /// caller must then wait for before its state may go.
+    bool release_pending(std::uint64_t seq);
     void sampler_tick();
     double now_us() const;
     /// Reconcile the absolute FreeList recycle counts into the monotonic
@@ -361,9 +350,10 @@ class Instance : public std::enable_shared_from_this<Instance> {
     std::shared_ptr<abt::Pool> m_handler_pool;
     std::chrono::milliseconds m_default_timeout{2000};
 
-    // Incoming message queue consumed by the progress ULT. The slow-path
-    // fabric delivery lands here; fast-path messages bypass it entirely via
-    // the endpoint's SPSC ring, which the progress loop drains lock-free.
+    // Incoming request queue consumed by the progress ULT (responses never
+    // queue: on_network_message completes them). The slow-path fabric
+    // delivery lands here; fast-path requests bypass it entirely via the
+    // endpoint's MPSC ring, which the progress loop drains lock-free.
     // The ring-buffer queue recycles its slots, so steady-state traffic that
     // does reach it stays allocation-free (unlike a deque's chunk churn).
     abt::Mutex m_queue_mutex;
@@ -388,25 +378,27 @@ class Instance : public std::enable_shared_from_this<Instance> {
     // Free lists behind the per-call hot-path objects; see pool_alloc.hpp.
     // shared_ptr-held because allocator copies (inside allocate_shared
     // control blocks and map internals) may outlive the Instance.
-    std::shared_ptr<FreeList> m_pending_call_pool = std::make_shared<FreeList>();
     std::shared_ptr<FreeList> m_pending_node_pool = std::make_shared<FreeList>();
     std::shared_ptr<FreeList> m_async_state_pool = std::make_shared<FreeList>();
     std::shared_ptr<FreeList> m_dispatch_pool = std::make_shared<FreeList>();
     /// Last total already folded into margo_pool_recycled_total.
     mutable std::atomic<std::uint64_t> m_pool_recycled_exported{0};
 
+    /// In-flight forwards by sequence number: each entry points at the reply
+    /// eventual inside the caller's AsyncForwardState. Whoever erases an
+    /// entry owns completing that call: a reply's delivery and shutdown's
+    /// sweep set the eventual after erasing; a caller that erases its own
+    /// entry (timeout, abandon) completes nothing.
     using PendingMap =
-        std::map<std::uint64_t, std::shared_ptr<PendingCall>, std::less<std::uint64_t>,
-                 PoolAllocator<std::pair<const std::uint64_t, std::shared_ptr<PendingCall>>>>;
+        std::map<std::uint64_t, abt::Eventual<mercury::Message>*, std::less<std::uint64_t>,
+                 PoolAllocator<std::pair<const std::uint64_t, abt::Eventual<mercury::Message>*>>>;
     std::mutex m_pending_mutex;
     PendingMap m_pending{PendingMap::key_compare{},
                          PendingMap::allocator_type{m_pending_node_pool}};
-    /// Guarded by m_pending_mutex. Bumped exactly once, when shutdown()
-    /// closes the registry and sweeps it; a forward that captured an older
-    /// generation knows its entry was already claimed by that sweep, and a
-    /// forward arriving afterwards fails fast instead of registering a call
-    /// nobody would ever cancel.
-    std::uint64_t m_pending_generation = 0;
+    /// Guarded by m_pending_mutex. Set once, when shutdown() sweeps the
+    /// registry: a forward arriving afterwards fails fast instead of
+    /// registering a call nobody would ever cancel.
+    bool m_pending_closed = false;
     std::atomic<std::uint64_t> m_next_seq{1};
     std::atomic<std::size_t> m_active_forwards{0};
     /// Condition-based shutdown drain: set by the last in-flight forward to
@@ -423,7 +415,7 @@ class Instance : public std::enable_shared_from_this<Instance> {
     mutable std::mutex m_monitors_mutex;
     std::vector<std::shared_ptr<Monitor>> m_monitors;
     std::chrono::milliseconds m_sampling_period{100};
-    std::atomic<bool> m_sampler_active{false};
+    std::map<std::string, std::size_t> m_sampled_pool_sizes; ///< sampler_tick() only
     std::function<void(const json::Value&)> m_monitoring_dump_sink;
 
     template <typename F>

@@ -99,13 +99,18 @@ void StatisticsMonitor::on_batch_op(const CallContext&, bool ok) {
 void StatisticsMonitor::on_progress_sample(std::size_t in_flight_rpcs,
                                            const std::map<std::string, std::size_t>& pool_sizes) {
     m_in_flight_gauge.set(static_cast<double>(in_flight_rpcs));
-    for (const auto& [name, size] : pool_sizes)
-        m_registry->gauge("margo_pool_size_" + name).set(static_cast<double>(size));
     std::lock_guard lk{m_mutex};
     ++m_samples;
     m_in_flight.add(static_cast<double>(in_flight_rpcs));
-    for (const auto& [name, size] : pool_sizes)
-        m_pool_sizes[name].add(static_cast<double>(size));
+    for (const auto& [name, size] : pool_sizes) {
+        auto it = m_pool_sizes.find(name);
+        if (it == m_pool_sizes.end()) {
+            Gauge& gauge = m_registry->gauge("margo_pool_size_" + name);
+            it = m_pool_sizes.emplace(name, PoolSample{{}, &gauge}).first;
+        }
+        it->second.size.add(static_cast<double>(size));
+        it->second.gauge->set(static_cast<double>(size));
+    }
 }
 
 json::Value StatisticsMonitor::to_json() const {
@@ -146,7 +151,8 @@ json::Value StatisticsMonitor::to_json() const {
     progress["samples"] = m_samples;
     progress["in_flight_rpcs"] = m_in_flight.to_json();
     progress["pools"] = json::Value::object();
-    for (const auto& [name, st] : m_pool_sizes) progress["pools"][name]["size"] = st.to_json();
+    for (const auto& [name, pool] : m_pool_sizes)
+        progress["pools"][name]["size"] = pool.size.to_json();
     return doc;
 }
 

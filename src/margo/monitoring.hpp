@@ -217,7 +217,11 @@ class StatisticsMonitor : public Monitor {
     mutable std::mutex m_mutex;
     std::map<StatKey, RpcStats> m_rpcs;
     Statistics m_in_flight;
-    std::map<std::string, Statistics> m_pool_sizes;
+    struct PoolSample {
+        Statistics size;
+        Gauge* gauge; ///< margo_pool_size_<pool>, resolved on the pool's first sample
+    };
+    std::map<std::string, PoolSample> m_pool_sizes;
     std::uint64_t m_samples = 0;
 };
 

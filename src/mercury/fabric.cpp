@@ -226,12 +226,6 @@ void Fabric::set_link(const std::string& src, const std::string& dst, LinkModel 
     bump_epoch_locked();
 }
 
-void Fabric::set_default_link(LinkModel model) {
-    std::lock_guard lk{m_mutex};
-    m_default_link = model;
-    bump_epoch_locked();
-}
-
 void Fabric::set_fast_path_enabled(bool enabled) {
     std::lock_guard lk{m_mutex};
     m_fast_path_enabled.store(enabled, std::memory_order_relaxed);
@@ -339,16 +333,22 @@ bool Fabric::try_fast_send(const std::string& src, const std::string& dst, Messa
         entry->eligible = false;
         return false; // let the slow path produce Unreachable
     }
-    // The push + wakeup must hold m_deliver_mutex shared, exactly like the
-    // slow path's deliver(): Endpoint::detach() quiesces by taking it
+    // Delivery must hold m_deliver_mutex shared, exactly like the slow
+    // path's deliver(): Endpoint::detach() quiesces by taking it
     // exclusively after clearing m_attached, and the receiving instance
     // only finalizes its runtime after detach() returns. Without the lock,
-    // m_fast_wakeup() could still be signaling into the receiver's
-    // scheduler while that runtime is being torn down.
+    // the handler or m_fast_wakeup() could still be signaling into the
+    // receiver's scheduler while that runtime is being torn down.
     std::shared_lock deliver_lk{target->m_deliver_mutex};
     if (!target->m_attached.load(std::memory_order_acquire)) {
         entry->eligible = false;
         return false;
+    }
+    if (msg.kind == Message::Kind::Response) {
+        // Expected message: it completes on this thread, no progress-loop hop.
+        m_delivered.fetch_add(1, std::memory_order_relaxed);
+        target->m_handler(std::move(msg));
+        return true;
     }
     if (!target->m_fast_ring->push(std::move(msg))) return false; // ring full
     target->m_fast_wakeup();

@@ -85,24 +85,30 @@ TEST(AbtRuntime, ThreadHandleJoin) {
 }
 
 TEST(AbtRuntime, YieldInterleavesUlts) {
-    auto rt = abt::Runtime::create_default(); // single ES: interleaving needs yield
+    auto rt = abt::Runtime::create_default();
+    // Both ULTs wait in a pool no ES serves yet, so neither can run (and
+    // finish its yields alone) before the other is posted; then a single ES
+    // starts serving that pool: interleaving needs yield.
+    ASSERT_TRUE(rt->add_pool(parse(R"({"name":"p2","type":"fifo_wait"})")).has_value());
+    auto p2 = rt->find_pool("p2").value();
     std::vector<int> order;
     std::mutex order_mutex;
     abt::Eventual<void> done_a, done_b;
-    rt->post(rt->primary_pool(), [&] {
+    rt->post(p2, [&] {
         for (int i = 0; i < 3; ++i) {
             { std::lock_guard lk{order_mutex}; order.push_back(0); }
             abt::yield();
         }
         done_a.set();
     });
-    rt->post(rt->primary_pool(), [&] {
+    rt->post(p2, [&] {
         for (int i = 0; i < 3; ++i) {
             { std::lock_guard lk{order_mutex}; order.push_back(1); }
             abt::yield();
         }
         done_b.set();
     });
+    ASSERT_TRUE(rt->add_xstream(parse(R"({"name":"es2","scheduler":{"pools":["p2"]}})")).ok());
     done_a.wait();
     done_b.wait();
     // With a single ES and cooperative yields the two ULTs must alternate.

@@ -621,6 +621,46 @@ TEST(Margo, ForwardTimeoutRoughlyHonored) {
     server->shutdown();
 }
 
+// A response completes its pending call on the thread that delivers it: the
+// caller instance's progress loop is not on the round trip, so a reply
+// arrives even while a ULT that never yields holds the caller's only ES.
+// Checked on a clean link (sender-thread delivery) and on a link with
+// latency (fabric-timer delivery).
+TEST(Margo, ReplyCompletesWhileCallerEsIsBusy) {
+    for (double latency_us : {0.0, 50.0}) {
+        SCOPED_TRACE("server->client latency_us = " + std::to_string(latency_us));
+        TwoNodes nodes;
+        auto echo = [](const margo::Request& req) { req.respond(req.payload()); };
+        ASSERT_TRUE(
+            nodes.server->register_rpc("echo", margo::k_default_provider_id, echo).has_value());
+        if (latency_us > 0.0) {
+            mercury::LinkModel slow;
+            slow.latency_us = latency_us;
+            nodes.fabric->set_link("sim://server", "sim://client", slow);
+        }
+        std::atomic<bool> spinning{false}, release{false};
+        auto rt = nodes.client->runtime();
+        auto hog = rt->post_thread(rt->primary_pool(), [&] {
+            spinning.store(true);
+            while (!release.load()) {} // never yields: the progress ULT cannot run
+        });
+        while (!spinning.load()) std::this_thread::sleep_for(1ms);
+
+        std::uint64_t delivered_before = nodes.fabric->messages_delivered();
+        margo::ForwardOptions opts;
+        opts.timeout = 500ms;
+        auto resp = nodes.client->forward("sim://server", "echo", "busy caller", opts);
+        std::uint64_t delivered = nodes.fabric->messages_delivered() - delivered_before;
+        release.store(true);
+        hog.join();
+        EXPECT_TRUE(resp.has_value()) << resp.error().message;
+        if (resp) {
+            EXPECT_EQ(*resp, "busy caller");
+        }
+        EXPECT_EQ(delivered, 2u) << "request and reply both count as delivered";
+    }
+}
+
 TEST(Margo, StatisticsAccumulatorMath) {
     margo::Statistics s;
     for (double x : {2.0, 4.0, 6.0}) s.add(x);
@@ -692,6 +732,35 @@ TEST(MargoAsync, ForwardAsyncRoundTrip) {
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(*again, "async hello");
     EXPECT_TRUE(req.test());
+}
+
+// Handles share state when copied, and wait() may be called on each copy
+// from a different thread: every waiter must read the reply, never a
+// moved-from copy of it.
+TEST(MargoAsync, WaitersOnCopiesAllSeeTheReply) {
+    TwoNodes nodes;
+    ASSERT_TRUE(nodes.server
+                    ->register_rpc("slow_echo", margo::k_default_provider_id,
+                                   [](const margo::Request& req) {
+                                       std::this_thread::sleep_for(200us);
+                                       req.respond(req.payload());
+                                   })
+                    .has_value());
+    for (int i = 0; i < 300; ++i) {
+        std::string want = "reply " + std::to_string(i);
+        auto req = nodes.client->forward_async("sim://server", "slow_echo", want);
+        auto copy = req;
+        std::string a, b;
+        std::thread other([&] {
+            auto r = copy.wait();
+            b = r ? *r : r.error().message;
+        });
+        auto r = req.wait();
+        a = r ? *r : r.error().message;
+        other.join();
+        ASSERT_EQ(a, want) << "iteration " << i;
+        ASSERT_EQ(b, want) << "iteration " << i;
+    }
 }
 
 TEST(MargoAsync, EmptyHandleIsInvalidState) {
